@@ -19,8 +19,8 @@ from ..incremental import IncrementalConfig, IncrementalStats, ModuleDelta, \
     PipelineState, load_state, save_state
 from ..obs import EventLog, MetricsRegistry, as_registry, attach_events, \
     attach_run_ledger, cached_bucket_overrides, maybe_span, \
-    observe_incremental_stats, observe_pipeline_result, record_pipeline_run
-from ..parallel.stats import ParallelStats
+    observe_incremental_stats, \
+    observe_pipeline_result, record_pipeline_run
 from ..persist import ArtifactStore, PersistentAnalysisCache, StoreStats
 from ..search import SearchStrategy
 from ..ir.module import Module
@@ -54,9 +54,6 @@ class PipelineResult:
     #: Hit/miss/load/store counters of the content-addressed artifact store
     #: (None when the run had no ``cache_dir`` — the always-cold default).
     persist_stats: Optional[StoreStats] = None
-    #: Worker-pool counters of the merge pass (None when the run had no
-    #: engine — ``parallel_workers=0``, the serial default).
-    parallel_stats: Optional[ParallelStats] = None
     #: The run's unified telemetry (see :mod:`repro.obs`): every stats view
     #: above folded into one registry, plus phase spans and timers.  None
     #: unless ``run_pipeline`` was called with ``metrics=``; export with
@@ -104,10 +101,7 @@ def baseline_compile(module: Module,
 def make_pass_options(technique: str, threshold: int, size_model: SizeModel,
                       phi_coalescing: bool = True,
                       search_strategy: Union[str, SearchStrategy] = "exhaustive",
-                      cache_dir: Optional[str] = None,
-                      parallel_workers: int = 0,
-                      parallel_backend: str = "process",
-                      parallel_persistent: bool = False
+                      cache_dir: Optional[str] = None
                       ) -> MergePassOptions:
     """Build pass options for one experimental configuration."""
     return MergePassOptions(
@@ -117,9 +111,6 @@ def make_pass_options(technique: str, threshold: int, size_model: SizeModel,
         size_model=size_model,
         salssa=SalSSAOptions(phi_coalescing=phi_coalescing),
         cache_dir=cache_dir,
-        parallel_workers=parallel_workers,
-        parallel_backend=parallel_backend,
-        parallel_persistent=parallel_persistent,
     )
 
 
@@ -153,9 +144,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
                  analysis_caching: bool = True,
                  cache_dir: Optional[str] = None,
                  artifact_store: Optional[ArtifactStore] = None,
-                 parallel_workers: int = 0,
-                 parallel_backend: str = "process",
-                 parallel_persistent: bool = False,
                  metrics: Union[None, bool, str, MetricsRegistry] = None,
                  events: Union[None, bool, EventLog] = None,
                  run_ledger=None,
@@ -166,13 +154,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
     ``technique`` may be ``"salssa"``, ``"fmsa"`` or ``"none"`` (baseline only).
     ``search_strategy`` selects the candidate index the merge pass queries;
     the default keeps the seed's exhaustive ranking.
-
-    ``parallel_workers`` (see :mod:`repro.parallel`) fans the merge pass's
-    read-only phases — index-artifact construction and candidate prefetch —
-    out over a worker pool (``parallel_backend``: ``"process"`` or the
-    in-process ``"serial"`` reference).  Codegen stays serial; results are
-    bit-identical at any worker count, only the wall-clock differs.  Worker
-    counters land on :attr:`PipelineResult.parallel_stats`.
 
     The pipeline owns a module-level :class:`ModuleAnalysisManager` shared by
     the clean-up transforms, the verifier, the merge pass, its cost model and
@@ -195,10 +176,10 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
     ``"deep"`` one that additionally attributes net ``tracemalloc``
     allocation to every phase span, or pass a registry to accumulate several
     runs into one.  The registry is threaded through every layer — phase
-    spans, store/search/analysis hooks, per-worker registries merged back
-    deterministically — and surfaced on :attr:`PipelineResult.metrics` with
-    all the stats views above folded in.  Telemetry is purely observational:
-    reports and sizes are bit-identical with it on or off.
+    spans, store/search/analysis hooks — and surfaced on
+    :attr:`PipelineResult.metrics` with all the stats views above folded
+    in.  Telemetry is purely observational: reports and sizes are
+    bit-identical with it on or off.
 
     ``events`` additionally turns on the flight recorder (see
     :mod:`repro.obs.events`): ``True`` attaches a fresh
@@ -259,8 +240,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
         "phi_coalescing": phi_coalescing,
         "search_strategy": search_strategy if isinstance(search_strategy, str)
         else type(search_strategy).__name__,
-        "parallel_workers": parallel_workers,
-        "parallel_backend": parallel_backend,
     }
 
     if technique == "none":
@@ -277,10 +256,7 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
         return result
 
     options = make_pass_options(technique, threshold, size_model, phi_coalescing,
-                                search_strategy=search_strategy,
-                                parallel_workers=parallel_workers,
-                                parallel_backend=parallel_backend,
-                                parallel_persistent=parallel_persistent)
+                                search_strategy=search_strategy)
     merging_pass = FunctionMergingPass(options)
 
     peak_bytes = 0
@@ -310,7 +286,6 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
         peak_merge_bytes=peak_bytes,
         analysis_stats=manager.stats if manager else None,
         persist_stats=store.stats if store else None,
-        parallel_stats=report.parallel_stats,
         metrics=registry,
     )
     observe_pipeline_result(registry, result)
@@ -342,26 +317,6 @@ class IncrementalRun:
         return self.result.report
 
 
-def _parallel_stats_delta(before: Optional[ParallelStats],
-                          after: Optional[ParallelStats]
-                          ) -> Optional[ParallelStats]:
-    """Per-run worker-pool counters of a state-owned (long-lived) engine."""
-    if after is None:
-        return None
-    if before is None:
-        return after
-    delta = ParallelStats(backend=after.backend, workers=after.workers)
-    for name, value in vars(after).items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            previous = getattr(before, name, 0)
-            if isinstance(previous, (int, float)) \
-                    and not isinstance(previous, bool):
-                setattr(delta, name, type(value)(value - previous))
-    delta.backend = after.backend
-    delta.workers = after.workers
-    return delta
-
-
 def run_pipeline_incremental(module: Module,
                              state: Optional[PipelineState] = None,
                              delta: Optional[ModuleDelta] = None,
@@ -375,9 +330,6 @@ def run_pipeline_incremental(module: Module,
                              = "exhaustive",
                              cache_dir: Optional[str] = None,
                              artifact_store: Optional[ArtifactStore] = None,
-                             parallel_workers: int = 0,
-                             parallel_backend: str = "process",
-                             parallel_persistent: bool = False,
                              metrics: Union[None, bool, str, MetricsRegistry]
                              = None,
                              events: Union[None, bool, EventLog]
@@ -403,10 +355,6 @@ def run_pipeline_incremental(module: Module,
     mutated — each run replays over a working copy assembled from the
     state's pristine functions, so the caller keeps editing the live module
     between deltas.
-
-    ``parallel_workers`` hands each run a *state-owned* long-lived engine:
-    dirty candidate queries fan out to the existing worker pool instead of
-    respawning one per delta (call ``state.close()`` when done).
 
     ``metrics`` and ``events`` match :func:`run_pipeline`: the telemetry
     registry and the flight recorder, both purely observational.  Replay
@@ -471,16 +419,8 @@ def run_pipeline_incremental(module: Module,
         baseline_instructions = working.num_instructions()
         options = make_pass_options(
             technique, threshold, size_model, phi_coalescing,
-            search_strategy=search_strategy,
-            parallel_workers=parallel_workers,
-            parallel_backend=parallel_backend,
-            parallel_persistent=parallel_persistent)
+            search_strategy=search_strategy)
         merging_pass = FunctionMergingPass(options)
-        engine = state.engine_for(merging_pass.parallel_config, registry)
-        engine_before = None
-        if engine is not None:
-            import copy as _copy
-            engine_before = _copy.copy(engine.stats)
         state.cache.begin_run()
         evicted_before = state.cache.evicted
         started = time.perf_counter()
@@ -488,11 +428,8 @@ def run_pipeline_incremental(module: Module,
             report = merging_pass.run(
                 working, analysis_manager=manager, artifact_store=store,
                 metrics=registry, precomputed=precomputed,
-                attempt_cache=state.cache, engine=engine)
+                attempt_cache=state.cache)
         merge_seconds = time.perf_counter() - started
-        if engine is not None:
-            report.parallel_stats = _parallel_stats_delta(
-                engine_before, engine.stats)
         result = PipelineResult(
             benchmark=benchmark,
             technique=technique,
@@ -506,7 +443,6 @@ def run_pipeline_incremental(module: Module,
             report=report,
             analysis_stats=manager.stats,
             persist_stats=store.stats if store is not None else None,
-            parallel_stats=report.parallel_stats,
             metrics=registry,
         )
         stats = IncrementalStats(
@@ -537,8 +473,6 @@ def run_pipeline_incremental(module: Module,
                 "search_strategy": search_strategy
                 if isinstance(search_strategy, str)
                 else type(search_strategy).__name__,
-                "parallel_workers": parallel_workers,
-                "parallel_backend": parallel_backend,
             },
             incremental=vars(stats))
     if registry is not None and not isinstance(metrics, MetricsRegistry):

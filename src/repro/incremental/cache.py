@@ -146,7 +146,7 @@ class AttemptCache:
         #: probe_gaps) of functions created mid-run (committed merges).
         self.index_artifacts: Dict[str, Dict[str, object]] = {}
         #: LRU cap on memoized pair outcomes (None = unbounded, the batch
-        #: default).  A long-lived service session sees an unbounded delta
+        #: default).  A long-lived incremental session sees an unbounded delta
         #: stream — without a bound every pair ever considered stays
         #: resident forever.  Eviction is purely a work-saver lost: an
         #: evicted pair is simply re-scored on its next appearance.

@@ -183,14 +183,13 @@ def parse_canonical_function(text: str, name: str = "f",
     referenced by name without being defined.  The function is rebuilt under
     ``name`` (in ``module``, or a fresh one) with positional argument names
     and implicitly declared globals, so that read-only analyses — and the
-    canonical serialization itself — see exactly the shipped content:
+    canonical serialization itself — see exactly the serialized content:
 
     >>> canonical_function_text(parse_canonical_function(t)) == t
 
     holds for every canonical text ``t``, which makes
-    ``Function.content_digest()`` stable across a ship/reconstruct round trip.
-    This is how ``repro.parallel`` workers rebuild read-only IR from the
-    artifacts the parent process ships them.
+    ``Function.content_digest()`` stable across a serialize/reconstruct
+    round trip.
     """
     lines = [_strip_comment(raw) for raw in text.splitlines()]
     stripped = [line.strip() for line in lines if line.strip()]
@@ -347,9 +346,9 @@ class _FunctionBodyParser:
 
     With ``implicit_globals`` unknown ``@name`` references are declared on the
     fly from their use-site type instead of raising — the mode used when
-    reconstructing a single shipped function outside its defining module (see
-    :func:`parse_canonical_function`), where callees and globals are part of
-    the function's meaning but their definitions were never shipped.
+    reconstructing a single serialized function outside its defining module
+    (see :func:`parse_canonical_function`), where callees and globals are part
+    of the function's meaning but their definitions were never serialized.
     """
 
     def __init__(self, module: Module, function: Function,

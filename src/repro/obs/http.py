@@ -1,7 +1,6 @@
 """A stdlib HTTP exposition endpoint over a live registry + event log.
 
-This is the pre-wiring for the ROADMAP's resident merge service: one
-:class:`ObsHTTPServer` wraps a :class:`~repro.obs.MetricsRegistry` (and the
+One :class:`ObsHTTPServer` wraps a :class:`~repro.obs.MetricsRegistry` (and the
 flight recorder attached to it) and serves the run's telemetry while the
 pipeline is still mutating it:
 

@@ -113,9 +113,8 @@ class ArtifactStore:
         self.root = Path(root)
         self.schema_version = schema_version
         self.stats = stats or StoreStats()
-        #: Read-only stores decline every write (no error, no counter churn):
-        #: the mode ``repro.parallel`` workers open the shared store in, so
-        #: only the parent process ever publishes records.
+        #: Read-only stores decline every write (no error, no counter churn),
+        #: so a consumer can share a store without ever publishing records.
         self.read_only = read_only
         self._sequence = 0
         #: Optional repro.obs.MetricsRegistry (see :meth:`attach_metrics`):

@@ -61,17 +61,6 @@ class CandidateIndex(ABC):
 
     strategy_name = "abstract"
 
-    #: Whether a function's membership in a query's probe pool depends only
-    #: on the (query, function) pair — never on the rest of the population.
-    #: Exhaustive scans and band-collision lookups qualify; anything with
-    #: population-sensitive behaviour (radius expansion, size-triggered
-    #: sub-partitioning) does not.  Consumers caching answers across index
-    #: mutations (``repro.merge.pass_manager.prefetch_answer_valid``) may
-    #: only reason incrementally about pools with this property; the
-    #: conservative default forces them to drop cached answers on any
-    #: mutation.
-    population_independent_pools = False
-
     def __init__(self, module: Module, min_size: int = 2,
                  strategy: Optional[SearchStrategy] = None,
                  stats: Optional[SearchStats] = None,
@@ -92,18 +81,12 @@ class CandidateIndex(ABC):
         #: by content digest and only compute for functions whose digest the
         #: store has never seen.
         self.artifact_store = artifact_store
-        #: Optional per-function artifacts a repro.parallel worker pool
-        #: derived ahead of the build: ``{function: {"fingerprint": ...,
-        #: "signature": ...}}``.  Consulted before the manager, the store or
-        #: any computation, so an index over pre-shipped artifacts builds
-        #: without touching the functions' bodies at all.
+        #: Optional per-function artifacts derived ahead of the build (the
+        #: incremental pipeline exports them from its maintained index):
+        #: ``{function: {"fingerprint": ..., "signature": ...}}``.  Consulted
+        #: before the manager, the store or any computation, so an index over
+        #: exported artifacts builds without re-deriving them.
         self.precomputed = precomputed or {}
-        #: Whether the most recent :meth:`candidates_for` answered through
-        #: the full-scan fallback rather than its probe pool alone.  Such an
-        #: answer depends on the fallback staying *armed*, which consumers
-        #: caching answers across index mutations must account for (see
-        #: ``repro.merge.pass_manager.prefetch_answer_valid``).
-        self.last_query_used_fallback = False
         #: Optional repro.obs hooks (see :meth:`attach_metrics`); resolved to
         #: concrete metric children once so queries pay no registry lookups.
         self._query_timer = None
@@ -146,13 +129,13 @@ class CandidateIndex(ABC):
         return sorted(self.fingerprints, key=lambda f: -self.fingerprints[f].size)
 
     def export_artifacts(self, function: Function) -> Dict[str, object]:
-        """The derived artifacts of one indexed function, ready to ship.
+        """The derived artifacts of one indexed function, ready to reuse.
 
         The base index only derives fingerprints; strategies with further
         per-function derivations (the MinHash signatures) extend this.  The
         format matches the ``precomputed`` map accepted by the constructor,
-        so artifacts exported from one index rebuild another — in this or any
-        other process — without recomputation.
+        so artifacts exported from one index rebuild another without
+        recomputation.
         """
         return {"fingerprint": self.fingerprints[function]}
 
@@ -211,14 +194,14 @@ class CandidateIndex(ABC):
         pairs = list(self._candidate_pool(function, fingerprint, threshold, exclude))
         ranked = rank_candidates(fingerprint, pairs, threshold, floor)
         scanned = len(pairs)
-        self.last_query_used_fallback = False
+        used_fallback = False
         # Fall back only when the *probe pool* was too small — if the pool
         # covered >= threshold candidates and ranking still came up short,
         # the similarity floor filtered them and a full scan would too.
         if len(ranked) < threshold and len(pairs) < threshold \
                 and self.strategy.fallback_to_scan \
                 and scanned < self._available_candidates(function, exclude):
-            self.last_query_used_fallback = True
+            used_fallback = True
             # Conservative fallback: the probe under-delivered, so also scan
             # the rest of the population.  Only the complement is scored —
             # the probe's short top-k merges with the complement's.
@@ -236,7 +219,7 @@ class CandidateIndex(ABC):
                                 population=max(0, len(self.fingerprints) - 1))
         if self._query_timer is not None:
             self._query_timer.observe(time.perf_counter() - query_started)
-            if self.last_query_used_fallback:
+            if used_fallback:
                 self._fallback_counter.inc()
         return ranked
 
@@ -293,7 +276,6 @@ class ExhaustiveIndex(CandidateIndex):
     """The seed's full-scan ranking, extracted behind the index interface."""
 
     strategy_name = "exhaustive"
-    population_independent_pools = True  # the pool *is* the population
 
     def _insert(self, function: Function, fingerprint: Fingerprint) -> None:
         pass
@@ -477,9 +459,9 @@ class SizeBucketIndex(CandidateIndex):
 
 
 def signature_config_key(strategy: SearchStrategy) -> str:
-    """Store/ship key fragment identifying one MinHash signature geometry.
+    """Store key fragment identifying one MinHash signature geometry.
 
-    Signatures persisted or shipped under this key are only reusable by an
+    Signatures persisted under this key are only reusable by an
     index with the same banding geometry, shingle size and hash family.
     """
     return hashlib.blake2b(
@@ -510,10 +492,8 @@ def compute_minhash_signature(function: Function, fingerprint: Fingerprint,
                               ) -> Tuple[int, ...]:
     """The MinHash signature of one function under ``strategy``'s geometry.
 
-    Shared by :class:`MinHashLSHIndex` and the ``repro.parallel`` worker
-    tasks, so a signature computed in a worker over a reconstructed function
-    is bit-identical to one the index would compute itself.  ``hash_params``
-    lets a caller amortise the hash-family construction across functions.
+    ``hash_params`` lets a caller amortise the hash-family construction
+    across functions.
     """
     count_construction("MinHashSignature")
     if hash_params is None:
@@ -531,7 +511,7 @@ def compute_minhash_signature(function: Function, fingerprint: Fingerprint,
 
 
 def valid_signature_payload(payload, expected_length: int) -> bool:
-    """Whether a loaded/shipped signature payload is structurally sound."""
+    """Whether a loaded/exported signature payload is structurally sound."""
     return (isinstance(payload, (list, tuple))
             and len(payload) == expected_length
             and all(isinstance(value, int)
@@ -572,9 +552,9 @@ def compute_probe_gaps(function: Function, fingerprint: Fingerprint,
     """Per-row probe gaps aligned with :func:`compute_minhash_signature`.
 
     Row ``i`` of the returned tuple is the gap of row ``i`` of the signature
-    (shingle rows first, then fingerprint rows).  Shared with the
-    ``repro.parallel`` worker tasks via ``export_artifacts``/``precomputed``
-    so a worker's probe order is bit-identical to the parent's.
+    (shingle rows first, then fingerprint rows).  Exported with the
+    signature via ``export_artifacts``/``precomputed``, so an index rebuilt
+    from exported artifacts probes in the same order.
     """
     if hash_params is None:
         hash_params = _signature_hash_family(strategy)
@@ -591,7 +571,7 @@ def compute_probe_gaps(function: Function, fingerprint: Fingerprint,
 
 
 def valid_probe_gaps(payload, expected_length: int) -> bool:
-    """Whether a loaded/shipped probe-gap payload is structurally sound."""
+    """Whether a loaded/exported probe-gap payload is structurally sound."""
     return (isinstance(payload, (list, tuple))
             and len(payload) == expected_length
             and all(isinstance(value, int)
@@ -629,9 +609,6 @@ class MinHashLSHIndex(CandidateIndex):
     """
 
     strategy_name = "minhash_lsh"
-    #: Band collision is a pairwise predicate over (query, candidate)
-    #: signatures — the rest of the population never changes who collides.
-    population_independent_pools = True
 
     def __init__(self, module: Module, min_size: int = 2,
                  strategy: Optional[SearchStrategy] = None,
@@ -669,9 +646,9 @@ class MinHashLSHIndex(CandidateIndex):
 
     # ------------------------------------------------------------ signatures
     def _signature(self, function: Function, fingerprint: Fingerprint) -> Tuple[int, ...]:
-        shipped = self.precomputed.get(function)
-        if shipped is not None:
-            payload = shipped.get("signature")
+        exported = self.precomputed.get(function)
+        if exported is not None:
+            payload = exported.get("signature")
             if valid_signature_payload(payload, len(self._hash_params)):
                 return tuple(payload)
         store = self.artifact_store
@@ -690,20 +667,13 @@ class MinHashLSHIndex(CandidateIndex):
         return signature
 
     def _probe_gaps_for(self, function: Function,
-                        fingerprint: Fingerprint) -> Optional[Tuple[int, ...]]:
-        """Per-row probe gaps of one function, shipped or computed locally.
-
-        Reconstructed worker-side functions carry no body; when their gaps
-        were not shipped either, ``None`` falls the query back to the fixed
-        first-``multiprobe`` row order.
-        """
-        shipped = self.precomputed.get(function)
-        if shipped is not None:
-            payload = shipped.get("probe_gaps")
+                        fingerprint: Fingerprint) -> Tuple[int, ...]:
+        """Per-row probe gaps of one function, exported or computed locally."""
+        exported = self.precomputed.get(function)
+        if exported is not None:
+            payload = exported.get("probe_gaps")
             if valid_probe_gaps(payload, len(self._hash_params)):
                 return tuple(payload)
-        if getattr(function, "blocks", None) is None:
-            return None
         return compute_probe_gaps(function, fingerprint, self.strategy,
                                   self._hash_params)
 
@@ -752,9 +722,8 @@ class MinHashLSHIndex(CandidateIndex):
         signature = self._signature(function, fingerprint)
         self._signatures[function] = signature
         if self._multiprobe:
-            gaps = self._probe_gaps_for(function, fingerprint)
-            if gaps is not None:
-                self._probe_gaps[function] = gaps
+            self._probe_gaps[function] = self._probe_gaps_for(function,
+                                                              fingerprint)
         for band, _, key in self._band_keys(signature):
             self._tables[band].setdefault(key, {})[function] = fingerprint
             if self._multiprobe:

@@ -217,9 +217,8 @@ class TestRoundTrip:
 class TestCanonicalRoundTrip:
     """``parse_canonical_function`` inverts ``canonical_function_text``.
 
-    The round trip is the shipping format of ``repro.parallel``: a worker
-    must reconstruct IR whose canonical text — and therefore whose
-    ``content_digest`` — is identical to the shipped original's.
+    A reconstructed function's canonical text — and therefore its
+    ``content_digest`` — must be identical to the serialized original's.
     """
 
     @pytest.mark.parametrize("source", [MOTIVATING_EXAMPLE, FULL_COVERAGE])

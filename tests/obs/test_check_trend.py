@@ -80,25 +80,24 @@ class TestGateOutcomes:
         assert gate.main(["--trend", path]) == 0
 
     def test_broken_digest_fails_without_history(self, gate, tmp_path):
-        row = {"bench": "parallel_pipeline_parity", "commit": "abc1234",
-               "num_functions": 64, "cells": 4, "digests_match": False,
-               "unix_time": 1}
+        row = {"bench": "incremental", "commit": "abc1234",
+               "num_functions": 64, "rescore_fraction": 0.1,
+               "digests_match": False, "unix_time": 1}
         path = write_rows(tmp_path / "t.jsonl", [row])
         assert gate.main(["--trend", path]) == 1
 
 
 class TestSeriesKeying:
     def test_different_contexts_never_compare(self, gate, tmp_path):
-        # A 2-cpu CI host's speedup history must not judge a 16-cpu row, and
-        # vice versa: each (workers, host_cpus) context is its own series.
-        def parallel_row(host_cpus, speedup):
-            return {"bench": "parallel_ranking", "commit": "abc1234",
-                    "num_functions": 96, "workers": 4,
-                    "host_cpus": host_cpus, "speedup": speedup,
-                    "digests_match": True, "unix_time": 1}
-        rows = [parallel_row(16, 3.0)] * 3 + [parallel_row(2, 0.6)]
-        path = write_rows(tmp_path / "t.jsonl", rows)
+        # A 1024-fn row must not be judged by 256-fn history, and vice
+        # versa: each (num_functions, strategy) context is its own series.
+        # The same drop within one context is a hard failure.
+        big = dict(search_row(recall=0.5), num_functions=1024)
+        path = write_rows(tmp_path / "t.jsonl", [search_row()] * 3 + [big])
         assert gate.main(["--trend", path]) == 0
+        same = write_rows(tmp_path / "s.jsonl",
+                          [search_row()] * 3 + [search_row(recall=0.5)])
+        assert gate.main(["--trend", same]) == 1
 
     def test_unknown_bench_is_skipped_not_fatal(self, gate, tmp_path):
         rows = [{"bench": "not_a_bench", "metric": 1.0, "unix_time": 1}]

@@ -87,6 +87,9 @@ class TestConcurrentScrape:
     def test_scrapes_survive_a_mutating_registry(self, registry):
         """Scrapes racing live label-set creation must never error and must
         always return parsable exposition text."""
+        # A small ring keeps each /events.jsonl serialization cheap and
+        # overflows throughout the scrapes, so eviction races them too.
+        attach_events(registry, EventLog(capacity=512))
         stop = threading.Event()
         errors = []
 
@@ -122,6 +125,7 @@ class TestConcurrentScrape:
                 stop.set()
                 writer.join(timeout=5)
         assert not errors
+        assert registry.events.dropped > 0
 
     def test_ring_overflow_is_visible_in_metrics(self):
         registry = MetricsRegistry()

@@ -2,9 +2,8 @@
 
 The contract under test is the package's first design constraint: metrics
 only observe.  A run with a registry attached must produce bit-identical
-merge reports to a run without one, in every execution mode — and the
-registry must come back holding the phases, the folded stats counters and
-the per-worker telemetry.
+merge reports to a run without one, for every search strategy — and the
+registry must come back holding the phases and the folded stats counters.
 """
 
 import pytest
@@ -32,11 +31,10 @@ class TestBitIdentical:
             merge_report_digest(without.report)
         assert with_metrics.final_size == without.final_size
 
-    def test_parallel_run_identical_with_telemetry(self):
+    def test_minhash_run_identical_with_telemetry(self):
         reference = run(search_strategy="minhash_lsh")
-        parallel = run(metrics=True, search_strategy="minhash_lsh",
-                       parallel_workers=2, parallel_backend="process")
-        assert merge_report_digest(parallel.report) == \
+        observed = run(metrics=True, search_strategy="minhash_lsh")
+        assert merge_report_digest(observed.report) == \
             merge_report_digest(reference.report)
 
 
@@ -118,40 +116,6 @@ class TestAdapterFolds:
                                 technique="salssa").value == \
             2 * run(metrics=True).metrics.counter(
                 "repro_merge_attempts_total", technique="salssa").value
-
-
-class TestWorkerTelemetry:
-    def test_process_workers_ship_registries_back(self):
-        result = run(metrics=True, search_strategy="minhash_lsh",
-                     parallel_workers=2, parallel_backend="process")
-        registry = result.metrics
-        names = {record.name for record in registry.trace}
-        assert "worker.index_artifacts" in names
-        assert "worker.candidates" in names
-        parsed = registry.counter("repro_worker_functions_parsed_total",
-                                  task="index_artifacts").value
-        assert parsed > 0
-
-    def test_worker_counters_deterministic_across_runs(self):
-        def worker_lines(result):
-            return sorted(
-                line for line in result.metrics.to_prometheus().splitlines()
-                if line.startswith(("repro_worker_functions_parsed_total",
-                                    "repro_search_query_seconds_count")))
-        first = run(metrics=True, search_strategy="minhash_lsh",
-                    parallel_workers=2, parallel_backend="process")
-        second = run(metrics=True, search_strategy="minhash_lsh",
-                     parallel_workers=2, parallel_backend="process")
-        assert worker_lines(first) == worker_lines(second)
-
-    def test_serial_backend_short_circuits_worker_telemetry(self):
-        # The inline pool computes everything in the parent by design, so a
-        # serial-backend run records parent-side phases but no worker spans.
-        result = run(metrics=True, search_strategy="minhash_lsh",
-                     parallel_workers=2, parallel_backend="serial")
-        names = {record.name for record in result.metrics.trace}
-        assert "merge.prefetch" in names
-        assert "worker.index_artifacts" not in names
 
 
 class TestExportSurface:

@@ -181,6 +181,21 @@ class TestRegistryMerge:
         assert [record.index for record in a.trace] == [0, 1]
         assert [record.name for record in a.trace] == ["left", "right"]
 
+    def test_mismatched_sample_bounds_refuse_snapshot_fold(self):
+        # Samples bucketed on another ladder of the same length (e.g. a
+        # snapshot written with different default bounds) must not fold
+        # their counts into the wrong buckets.
+        source = MetricsRegistry()
+        source.timer("repro_phase_seconds", phase="x").observe(0.01)
+        snapshot = source.snapshot()
+        for entry in snapshot["metrics"]:
+            for sample in entry["samples"]:
+                sample["bounds"] = [2 * bound for bound in sample["bounds"]]
+        target = MetricsRegistry()
+        target.timer("repro_phase_seconds", phase="x").observe(0.01)
+        with pytest.raises(ValueError, match="bounds"):
+            target.merge_snapshot(snapshot)
+
 
 class TestAsRegistry:
     def test_none_passes_through(self):

@@ -148,7 +148,9 @@ class TestPipelineIntegration:
         assert record.reduction_percent == \
             pytest.approx(recorded.reduction_percent)
         assert "merge" in record.phase_seconds
-        assert record.config["parallel_workers"] == 0
+        assert record.config["search_strategy"] == "exhaustive"
+        assert not [key for key in record.config
+                    if key.startswith("parallel_")]
 
     def test_run_with_sink_records_pointer_and_reasons(self, tmp_path):
         registry = MetricsRegistry()
@@ -166,7 +168,6 @@ class TestPipelineIntegration:
         bootstrap = run_pipeline_incremental(
             module, benchmark="runs-test",
             run_ledger=tmp_path / "ledger")
-        bootstrap.state.close()
         [record] = bootstrap.result.metrics.run_ledger.runs()
         assert record.mode == "incremental"
         assert "incremental" in record.stats
@@ -268,8 +269,39 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "other" in out and "bench " not in out
         assert main(self.store_arg(ledger)
-                    + ["list", "--backend", "process"]) == 0
+                    + ["list", "--technique", "fmsa"]) == 0
         assert "(no runs matched)" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(self.store_arg(ledger) + ["list", "--backend", "process"])
+        capsys.readouterr()
+
+    def test_legacy_worker_pool_records_load_list_and_diff(self, ledger,
+                                                          capsys):
+        # Records written while the pipeline still had a worker pool carry
+        # parallel_* config keys and a "parallel" stats view; they stay
+        # readable next to records that no longer write them.
+        legacy_config = {"technique": "salssa"}
+        legacy_config.update({f"parallel_{knob}": value for knob, value
+                              in (("workers", 2), ("backend", "process"))})
+        legacy = ledger.record(make_record(
+            unix_time=1, config=legacy_config,
+            stats={"parallel": {"backend": "process", "workers": 2}}))
+        current = ledger.record(make_record(unix_time=2))
+        reopened = RunLedger(ArtifactStore(ledger.store.root))
+        record = reopened.load(legacy)
+        assert record is not None
+        assert record.config == legacy_config
+        assert record.stats["parallel"]["workers"] == 2
+        assert record.fingerprint != reopened.load(current).fingerprint
+        assert main(self.store_arg(ledger) + ["list"]) == 0
+        listed = capsys.readouterr().out
+        assert legacy[:12] in listed and current[:12] in listed
+        assert main(self.store_arg(ledger) + ["show", legacy[:8]]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == legacy_config
+        assert main(self.store_arg(ledger) + ["diff", legacy, current]) == 0
+        diffed = capsys.readouterr().out
+        assert "report digest match: True" in diffed
+        assert "configurations differ" in diffed
 
     def test_show_accepts_prefix(self, ledger, capsys):
         run_id = ledger.record(make_record())

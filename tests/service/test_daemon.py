@@ -2,7 +2,7 @@
 
 The service's headline contract is that residency is *free* correctness-
 wise: a job's report digest is bit-identical to a cold ``run_pipeline``
-over the same module text, whatever technique or backend the session is
+over the same module text, whatever technique the session is
 pinned to, and however many warm jobs preceded it.
 """
 
@@ -37,36 +37,24 @@ def _mutated_stream(functions=20, seed=5, edits=3):
 
 
 @pytest.mark.parametrize("technique", ["salssa", "fmsa"])
-@pytest.mark.parametrize("workers,backend", [(0, "process"),
-                                             (2, "process")])
-def test_digest_parity_matrix(technique, workers, backend):
-    """{salssa,fmsa} x {serial,process}: every job matches its batch run."""
+def test_digest_parity_matrix(technique):
+    """{salssa,fmsa}: every job of one resident session matches its batch
+    run."""
     snapshots, patches = _mutated_stream()
-    with MergeService(workers=workers, backend=backend) as service:
+    with MergeService() as service:
         with ServiceClient(service.host, service.port) as client:
             responses = [client.submit("parity", module=snapshots[0],
                                        technique=technique)]
             for patch in patches:
                 responses.append(client.submit("parity",
                                                functions=[patch]))
+            info = client.sessions()["sessions"][0]
+    assert info["jobs"] == 1 + len(patches)
     for snapshot, response in zip(snapshots, responses):
         batch = run_pipeline(parse_module(snapshot), "parity",
                              technique=technique)
         assert response["digest"] == report_digest_hex(batch.report)
     assert [r["warm"] for r in responses] == [False] + [True] * len(patches)
-
-
-def test_workers_spawn_once_per_daemon_lifetime():
-    snapshots, patches = _mutated_stream(functions=16, seed=9)
-    with MergeService(workers=2) as service:
-        with ServiceClient(service.host, service.port) as client:
-            client.submit("spawned", module=snapshots[0])
-            for patch in patches:
-                response = client.submit("spawned", functions=[patch])
-                assert response["pool_spawns"] == 1
-            info = client.sessions()["sessions"][0]
-            assert info["pool_spawns"] == 1
-            assert info["jobs"] == 1 + len(patches)
 
 
 def test_session_pinned_options():
