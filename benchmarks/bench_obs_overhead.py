@@ -20,10 +20,8 @@ segments must still replay every emitted event (``sink_disk_missing == 0``),
 and the report digest must stay identical.  Its trend row lands under
 ``bench="obs_sink"`` with its own ``check_trend.py`` policy.
 
-The trend rows double as the histogram-tuning feed: each row records the
-run's per-family timer quantiles (``timer_quantiles``) and per-phase net
-allocation (``phase_alloc``, deep mode), which
-``repro.obs.buckets.tuned_bucket_overrides`` and ``plot_trend.py`` consume.
+Each trend row also records per-phase net allocation (``phase_alloc``,
+deep mode), which ``plot_trend.py`` overlays per phase.
 
 ``REPRO_SMOKE=1`` shrinks the sweep to one small module; ``REPRO_FULL=1``
 extends it to 256 and 1024 functions.
@@ -52,34 +50,6 @@ MAX_OVERHEAD = 1.05
 SINK_RING_CAPACITY = 64
 #: Sink-mode segment size — small enough to force several rotations.
 SINK_MAX_BYTES = 64 * 1024
-
-#: Timer families whose quantiles feed the bucket-tuning loop.
-QUANTILE_FAMILIES = (
-    "repro_phase_seconds",
-    "repro_merge_alignment_seconds",
-    "repro_merge_codegen_seconds",
-)
-
-
-def _timer_quantiles(registry) -> dict:
-    """p50/p90/p99 per tracked timer family, all labeled children pooled."""
-    quantiles = {}
-    for family in registry.families():
-        if family.name not in QUANTILE_FAMILIES or family.kind != "timer":
-            continue
-        merged = None
-        for _, child in family.samples():
-            if merged is None:
-                merged = type(child)(child.bounds)
-            merged._merge(child)
-        if merged is None or merged.count == 0:
-            continue
-        quantiles[family.name] = {
-            "p50": round(merged.quantile(0.50), 6),
-            "p90": round(merged.quantile(0.90), 6),
-            "p99": round(merged.quantile(0.99), 6),
-        }
-    return quantiles
 
 
 def _phase_alloc(registry) -> dict:
@@ -159,7 +129,6 @@ def obs_overhead(sizes):
             "events_dropped": events_log.dropped,
             "digests_match": digests["off"] == digests["events"]
             == digests["deep"] == digests["sink"],
-            "timer_quantiles": _timer_quantiles(registries["events"]),
             "phase_alloc": _phase_alloc(registries["deep"]),
             "sink_ratio": timings["sink"] / timings["off"]
             if timings["off"] else 1.0,
@@ -195,7 +164,6 @@ def test_obs_event_overhead(benchmark):
         deep_ratio=round(newest["deep_ratio"], 4),
         events_recorded=newest["events_recorded"],
         events_dropped=newest["events_dropped"],
-        timer_quantiles=newest["timer_quantiles"],
         phase_alloc=newest["phase_alloc"],
         digests_match=all(r["digests_match"] for r in rows))
     append_trend(

@@ -7,9 +7,9 @@ series back and failing CI when a tracked metric regresses.  For every
 ``(bench, context)`` series it compares the newest row against the trailing
 median of the prior rows:
 
-* **Context** fields (module size, strategy, ``host_cpus``) key the
-  series — rows measured under different configurations, or on CI hosts
-  with different CPU counts, never compare against each other.
+* **Context** fields (module size, strategy) key the series — rows
+  measured under different configurations never compare against each
+  other.
 * **Deterministic** metrics (recall, construction ratios, hit rates,
   computation reductions) hard-fail when they drop beyond their tolerance —
   but only once the series has at least ``MIN_HISTORY`` prior rows, so a
@@ -67,9 +67,7 @@ class BenchPolicy:
 
 
 #: One entry per bench that appends trend rows.  Context fields must identify
-#: the configuration well enough that rows in one series are comparable:
-#: ``host_cpus`` is context for the service load lane because a 2-CPU CI
-#: runner can never reproduce a 16-CPU workstation's throughput.
+#: the configuration well enough that rows in one series are comparable.
 POLICIES: Dict[str, BenchPolicy] = {
     "candidate_search": BenchPolicy(
         context=("num_functions", "strategy"),
@@ -120,33 +118,6 @@ POLICIES: Dict[str, BenchPolicy] = {
                                        advisory=True),
             "sink_disk_missing": MetricPolicy("lower", 0.0, abs_slack=0.0),
             "sink_write_errors": MetricPolicy("lower", 0.0, abs_slack=0.0),
-        }),
-    "service": BenchPolicy(
-        # Warm-vs-cold ratio and latencies are wall-clock (advisory on
-        # noisy runners); the digests_match correctness bit fails
-        # immediately as always.
-        context=("num_functions",),
-        metrics={
-            "warm_cold_ratio": MetricPolicy("higher", 0.25, advisory=True),
-            "warm_p50_seconds": MetricPolicy("lower", 0.25, abs_slack=0.05,
-                                             advisory=True),
-            "batch_seconds": MetricPolicy("lower", 0.25, abs_slack=0.05,
-                                          advisory=True),
-        }),
-    "service_load": BenchPolicy(
-        # Open-loop load-generator lane: throughput/latency are wall-clock
-        # and advisory; the error count is deterministic and gated at zero.
-        context=("sessions", "jobs", "num_functions", "host_cpus"),
-        metrics={
-            "latency_p50_seconds": MetricPolicy("lower", 0.25,
-                                                abs_slack=0.05,
-                                                advisory=True),
-            "latency_p95_seconds": MetricPolicy("lower", 0.25,
-                                                abs_slack=0.10,
-                                                advisory=True),
-            "jobs_per_second": MetricPolicy("higher", 0.25, advisory=True),
-            "warm_cold_ratio": MetricPolicy("higher", 0.25, advisory=True),
-            "errors": MetricPolicy("lower", 0.0, abs_slack=0.0),
         }),
     "incremental": BenchPolicy(
         # digest parity (the digests_match correctness bit) fails

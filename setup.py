@@ -10,9 +10,5 @@ setup(entry_points={
         "repro-explain=repro.obs.explain:main",
         # Also reachable without installation: python -m repro.obs.runs
         "repro-runs=repro.obs.runs:main",
-        # Also reachable without installation: python -m repro.service.daemon
-        "repro-serve=repro.service.daemon:main",
-        # Also reachable without installation: python -m repro.service.loadgen
-        "repro-loadgen=repro.service.loadgen:main",
     ],
 })

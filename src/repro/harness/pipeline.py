@@ -18,8 +18,7 @@ from ..analysis.size_model import SizeModel, X86_64, get_target
 from ..incremental import IncrementalConfig, IncrementalStats, ModuleDelta, \
     PipelineState, load_state, save_state
 from ..obs import EventLog, MetricsRegistry, as_registry, attach_events, \
-    attach_run_ledger, cached_bucket_overrides, maybe_span, \
-    observe_incremental_stats, \
+    attach_run_ledger, maybe_span, observe_incremental_stats, \
     observe_pipeline_result, record_pipeline_run
 from ..persist import ArtifactStore, PersistentAnalysisCache, StoreStats
 from ..search import SearchStrategy
@@ -114,27 +113,6 @@ def make_pass_options(technique: str, threshold: int, size_model: SizeModel,
     )
 
 
-def _pipeline_registry(metrics, tuned_buckets: bool
-                       ) -> Optional[MetricsRegistry]:
-    """Coerce a ``metrics=`` argument, applying trend-tuned histogram
-    ladders to registries the *pipeline* creates (``True``/``"deep"``).
-
-    An explicitly passed registry is used as-is — its owner already chose
-    its ladders.  ``tuned_buckets=False`` is the opt-out; with no usable
-    quantile history in ``benchmarks/trend.jsonl``,
-    :func:`~repro.obs.cached_bucket_overrides` returns ``{}`` and behaviour
-    is byte-for-byte the untuned default.
-    """
-    if metrics is None or isinstance(metrics, MetricsRegistry):
-        return as_registry(metrics)
-    if metrics is not True and metrics != "deep":
-        return as_registry(metrics)  # reuse its TypeError message
-    overrides = cached_bucket_overrides() if tuned_buckets else {}
-    deep = metrics == "deep"
-    return MetricsRegistry(trace_memory=deep, deep=deep,
-                           bucket_overrides=overrides or None)
-
-
 def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
                  threshold: int = 1, target: str = "x86_64",
                  phi_coalescing: bool = True,
@@ -146,8 +124,7 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
                  artifact_store: Optional[ArtifactStore] = None,
                  metrics: Union[None, bool, str, MetricsRegistry] = None,
                  events: Union[None, bool, EventLog] = None,
-                 run_ledger=None,
-                 tuned_buckets: bool = True
+                 run_ledger=None
                  ) -> PipelineResult:
     """Run the full pipeline on ``module`` (which is consumed/mutated).
 
@@ -196,22 +173,16 @@ def run_pipeline(module: Module, benchmark: str, technique: str = "salssa",
     the ledger — query with ``repro-runs`` (see ``docs/runs.md``).  A
     registry that already carries a ledger (via
     :func:`~repro.obs.attach_run_ledger`) records without this argument.
-
-    ``tuned_buckets`` (default on) gives registries the pipeline creates
-    (``metrics=True``/``"deep"``) trend-tuned histogram ladders when
-    ``benchmarks/trend.jsonl`` carries enough quantile history per family;
-    pass ``False`` to keep the one-size default ladders.  Purely
-    observational either way.
     """
     size_model = get_target(target)
-    registry = _pipeline_registry(metrics, tuned_buckets)
+    registry = as_registry(metrics)
     if events is not None and events is not False:
         if registry is None:
-            registry = _pipeline_registry(True, tuned_buckets)
+            registry = MetricsRegistry()
         attach_events(registry, events)
     if run_ledger is not None:
         if registry is None:
-            registry = _pipeline_registry(True, tuned_buckets)
+            registry = MetricsRegistry()
         attach_run_ledger(registry, run_ledger)
     store = artifact_store
     if store is None and cache_dir is not None:
@@ -334,8 +305,7 @@ def run_pipeline_incremental(module: Module,
                              = None,
                              events: Union[None, bool, EventLog]
                              = None,
-                             run_ledger=None,
-                             tuned_buckets: bool = True) -> IncrementalRun:
+                             run_ledger=None) -> IncrementalRun:
     """Re-run the merge pipeline for ``module``, reusing ``state``.
 
     The incremental counterpart of :func:`run_pipeline` (see
@@ -362,20 +332,19 @@ def run_pipeline_incremental(module: Module,
     ``named_key`` guard, state-snapshot provenance) land in the event log
     with their reason codes.
 
-    ``run_ledger`` and ``tuned_buckets`` match :func:`run_pipeline`: the
-    durable run ledger (records land with ``mode="incremental"`` plus the
-    delta's :class:`~repro.incremental.IncrementalStats`) and the default-on
-    trend-tuned histogram ladders.
+    ``run_ledger`` matches :func:`run_pipeline`: the durable run ledger
+    (records land with ``mode="incremental"`` plus the delta's
+    :class:`~repro.incremental.IncrementalStats`).
     """
     size_model = get_target(target)
-    registry = _pipeline_registry(metrics, tuned_buckets)
+    registry = as_registry(metrics)
     if events is not None and events is not False:
         if registry is None:
-            registry = _pipeline_registry(True, tuned_buckets)
+            registry = MetricsRegistry()
         attach_events(registry, events)
     if run_ledger is not None:
         if registry is None:
-            registry = _pipeline_registry(True, tuned_buckets)
+            registry = MetricsRegistry()
         attach_run_ledger(registry, run_ledger)
     events_log = registry.events if registry is not None else None
     store = artifact_store

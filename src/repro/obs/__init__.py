@@ -44,13 +44,10 @@ from .events import (
     attach_events,
 )
 from .http import ObsHTTPServer, serve_metrics
-from .buckets import cached_bucket_overrides, collect_timer_quantiles, \
-    derive_buckets, tuned_bucket_overrides
 from .sink import (
     SINK_SCHEMA,
     EventSink,
     RotatingSink,
-    SnapshotSink,
     load_events_path,
     read_sink_events,
     replay_records,
@@ -62,7 +59,6 @@ from .runs import (
     RunRecord,
     attach_run_ledger,
     record_pipeline_run,
-    report_digest_hex,
 )
 from .adapters import (
     attach_all,
@@ -97,7 +93,6 @@ __all__ = [
     "RotatingSink",
     "RunLedger",
     "RunRecord",
-    "SnapshotSink",
     "SpanRecord",
     "Timer",
     "as_event_log",
@@ -105,14 +100,10 @@ __all__ = [
     "attach_all",
     "attach_events",
     "attach_run_ledger",
-    "cached_bucket_overrides",
-    "collect_timer_quantiles",
-    "derive_buckets",
     "load_events_path",
     "read_sink_events",
     "record_pipeline_run",
     "replay_records",
-    "report_digest_hex",
     "format_trace",
     "maybe_span",
     "merge_snapshot_into",
@@ -126,5 +117,4 @@ __all__ = [
     "registry_snapshot",
     "serve_metrics",
     "to_prometheus_text",
-    "tuned_bucket_overrides",
 ]

@@ -10,8 +10,8 @@ Two renderings of one :class:`~repro.obs.MetricsRegistry`:
 * :func:`registry_snapshot` / :func:`merge_snapshot_into` — a JSON-safe
   snapshot of every family, sample and span, and its inverse fold.  This is
   what ``PipelineResult.metrics.snapshot()`` hands to anything that wants
-  the run's telemetry as data (the HTTP endpoint, snapshot sinks, the trend
-  tooling, tests).
+  the run's telemetry as data (the HTTP endpoint, the trend tooling,
+  tests).
 
 Both renderings are deterministic: families sort by name, samples by label
 values, so identical registries export identical bytes.

@@ -35,8 +35,7 @@ import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, \
-    Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .trace import SpanRecord, _SpanFrame
 
@@ -171,29 +170,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (0..1) by linear interpolation within
-        the holding bucket — the usual Prometheus ``histogram_quantile``
-        estimate.  Returns 0.0 for an empty histogram; observations landing
-        in the implicit ``+Inf`` bucket clamp to the highest finite bound."""
-        if self.count == 0:
-            return 0.0
-        rank = max(0.0, min(1.0, q)) * self.count
-        running = 0
-        for position, bucket_count in enumerate(self.bucket_counts):
-            previous = running
-            running += bucket_count
-            if running >= rank and bucket_count:
-                hi = self.bounds[position] if position < len(self.bounds) \
-                    else self.bounds[-1]
-                lo = self.bounds[position - 1] if 0 < position <= len(self.bounds) \
-                    else 0.0
-                if position >= len(self.bounds):
-                    return hi
-                fraction = (rank - previous) / bucket_count
-                return lo + (hi - lo) * fraction
-        return self.bounds[-1]
-
     def _merge(self, other: "Histogram") -> None:
         if other.bounds != self.bounds:
             raise ValueError("cannot merge histograms with different bounds: "
@@ -223,8 +199,8 @@ class Histogram:
         if bounds is not None \
                 and tuple(float(bound) for bound in bounds) != self.bounds:
             # Same-length ladders with different boundary values would fold
-            # counts into the wrong buckets without this check (e.g. tuned
-            # bounds on one side, defaults on the other).  Fail loudly.
+            # counts into the wrong buckets without this check (e.g. a
+            # snapshot written under other default bounds).  Fail loudly.
             raise ValueError(
                 f"snapshot histogram bounds {tuple(bounds)!r} do not match "
                 f"the receiving family's bounds {self.bounds!r}")
@@ -337,18 +313,10 @@ class MetricsRegistry:
     ``repro_phase_alloc_bytes{phase}`` gauge family sums them.  Same
     external-tracer guard as the peak: an already-running ``tracemalloc``
     is read, never reset or stopped.
-
-    ``bucket_overrides`` maps family names to tuned histogram bounds (see
-    :mod:`repro.obs.buckets`): a histogram/timer family declared *without*
-    explicit buckets picks its override instead of the one-size default.
-    Overrides become part of the family declaration, so merging registries
-    (or folding snapshots) with mismatched bounds fails loudly instead of
-    silently mis-folding bucket counts.
     """
 
-    def __init__(self, trace_memory: bool = False, deep: bool = False,
-                 bucket_overrides: Optional[Mapping[str, Sequence[float]]]
-                 = None) -> None:
+    def __init__(self, trace_memory: bool = False,
+                 deep: bool = False) -> None:
         self._families: Dict[str, MetricFamily] = {}
         #: Completed spans in completion order (see :mod:`repro.obs.trace`).
         self.trace: List[SpanRecord] = []
@@ -360,9 +328,6 @@ class MetricsRegistry:
         self.run_ledger = None
         self._span_stack: List[_SpanFrame] = []
         self._epoch = time.perf_counter()
-        self._bucket_overrides: Dict[str, Tuple[float, ...]] = {
-            name: tuple(float(bound) for bound in bounds)
-            for name, bounds in (bucket_overrides or {}).items()}
         # Guards family creation/enumeration against concurrent scrapes.
         self._lock = threading.RLock()
         self.deep = deep
@@ -370,15 +335,6 @@ class MetricsRegistry:
         if (trace_memory or deep) and not tracemalloc.is_tracing():
             tracemalloc.start()
             self._owns_tracemalloc = True
-
-    @property
-    def bucket_overrides(self) -> Dict[str, Tuple[float, ...]]:
-        """The tuned-bucket ladders this registry was built with (a copy).
-
-        A registry that must merge with this one declares the same ladders
-        — mismatched bounds refuse to merge by design.
-        """
-        return dict(self._bucket_overrides)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -393,8 +349,6 @@ class MetricsRegistry:
                buckets: Optional[Sequence[float]] = None,
                merge_mode: str = "max") -> MetricFamily:
         """Get or declare the family for ``name``; re-declarations must agree."""
-        if buckets is None and kind in ("histogram", "timer"):
-            buckets = self._bucket_overrides.get(name)
         family = self._families.get(name)
         if family is None:
             with self._lock:

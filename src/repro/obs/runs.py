@@ -259,16 +259,6 @@ def _report_digest_hex(report) -> Optional[str]:
         repr(merge_report_digest(report)).encode("utf-8")).hexdigest()
 
 
-def report_digest_hex(report) -> Optional[str]:
-    """SHA-256 hex of a report's bit-identity digest (``None`` sans report).
-
-    The public spelling of the ledger's ``report_digest`` field — the merge
-    service replies with it so clients can assert digest parity against a
-    batch run without holding the report object.
-    """
-    return _report_digest_hex(report)
-
-
 def record_pipeline_run(registry, result, mode: str,
                         config: Optional[Dict[str, Any]] = None,
                         incremental: Optional[Dict[str, Any]] = None
@@ -349,11 +339,7 @@ def record_pipeline_run(registry, result, mode: str,
         events_dropped=events_dropped,
         unix_time=int(time.time()),
     )
-    run_id = ledger.record(record)
-    # Leave the id where synchronous callers (the merge service) can read
-    # it back without re-querying the ledger.
-    registry.last_run_id = run_id
-    return run_id
+    return ledger.record(record)
 
 
 # ---------------------------------------------------------------------------

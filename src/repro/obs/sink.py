@@ -1,5 +1,5 @@
-"""Durable sinks: crash-tolerant rotating JSONL files for events and
-snapshots.
+"""Durable sinks: crash-tolerant rotating JSONL files for flight-recorder
+events and other JSON records.
 
 The flight recorder (:mod:`repro.obs.events`) is a ring buffer — the right
 shape for a live endpoint, the wrong one for history: a long-lived process
@@ -51,7 +51,7 @@ import re
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from .events import EVENT_SCHEMA, Event, EventLog
 
@@ -261,12 +261,6 @@ class RotatingSink:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # --------------------------------------------------------------- replay
-    def replay(self) -> List[Dict[str, Any]]:
-        """Every record on disk, in rotation order (flushes first)."""
-        self.flush()
-        return list(replay_records(self.directory, self.prefix))
-
 
 def _open_segment(directory: Path, prefix: str,
                   index: int) -> Optional[io.TextIOBase]:
@@ -359,26 +353,6 @@ class EventSink(RotatingSink):
     def replay_events(self) -> Iterator[Event]:
         self.flush()
         return iter_sink_events(self.directory, self.prefix)
-
-
-class SnapshotSink(RotatingSink):
-    """A rotating sink of registry snapshots (``prefix="snapshots"``).
-
-    One record per :meth:`append_registry` call: a wall-clock stamp plus the
-    full JSON snapshot — the durable counterpart of ``/snapshot.json`` for
-    a process that wants periodic metric checkpoints outliving it.
-    """
-
-    def __init__(self, directory: Union[str, Path],
-                 prefix: str = "snapshots", **options: Any) -> None:
-        super().__init__(directory, prefix=prefix, **options)
-
-    def append_registry(self, registry) -> bool:
-        return self.append({"unix_time": int(time.time()),
-                            "snapshot": registry.snapshot()})
-
-    def replay_snapshots(self) -> List[Dict[str, Any]]:
-        return self.replay()
 
 
 def iter_sink_events(directory: Union[str, Path],

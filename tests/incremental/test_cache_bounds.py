@@ -1,7 +1,7 @@
 """Bounded attempt-cache growth: the LRU cap and liveness compaction.
 
-A resident service replays an unbounded delta stream through one
-:class:`AttemptCache`; these tests pin the two mechanisms that keep it
+A long-lived :class:`PipelineState` replays an unbounded delta stream
+through one :class:`AttemptCache`; these tests pin the two mechanisms that keep it
 finite — and that neither can change a merge outcome, only re-scoring work.
 """
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.harness.experiments import merge_report_digest, search_workload
 from repro.harness.pipeline import run_pipeline
-from repro.obs import PHASE_TIMER, MetricsRegistry
+from repro.obs import DEFAULT_TIME_BUCKETS, PHASE_TIMER, MetricsRegistry
 
 SIZE = 48
 
@@ -36,6 +36,20 @@ class TestBitIdentical:
         observed = run(metrics=True, search_strategy="minhash_lsh")
         assert merge_report_digest(observed.report) == \
             merge_report_digest(reference.report)
+
+
+class TestDefaultBuckets:
+    def test_pipeline_registry_uses_default_time_buckets(self):
+        # The ladders never depend on files outside the package, e.g. the
+        # timer quantiles recorded in benchmarks/trend.jsonl.
+        registry = run(metrics=True).metrics
+        families = {family.name: family for family in registry.families()}
+        for name in ("repro_phase_seconds", "repro_merge_alignment_seconds",
+                     "repro_merge_codegen_seconds"):
+            children = [child for _, child in families[name].samples()]
+            assert children
+            assert all(child.bounds == DEFAULT_TIME_BUCKETS
+                       for child in children)
 
 
 class TestPhaseReconciliation:

@@ -197,6 +197,44 @@ class TestRegistryMerge:
             target.merge_snapshot(snapshot)
 
 
+class TestExplicitBucketsMergeSafety:
+    """A family's ``buckets=`` is part of its declaration: registries and
+    snapshots fold only into a family declared on the same ladder."""
+
+    LADDER = (0.005, 0.05, 0.5)
+
+    def test_mismatched_buckets_refuse_registry_merge(self):
+        explicit = MetricsRegistry()
+        explicit.timer("repro_phase_seconds", buckets=self.LADDER,
+                       phase="x").observe(0.01)
+        default = MetricsRegistry()
+        default.timer("repro_phase_seconds", phase="x").observe(0.01)
+        with pytest.raises(ValueError):
+            explicit.merge(default)
+
+    def test_mismatched_buckets_refuse_snapshot_fold(self):
+        default = MetricsRegistry()
+        default.timer("repro_phase_seconds", phase="x").observe(0.01)
+        snapshot = default.snapshot()
+        explicit = MetricsRegistry()
+        explicit.timer("repro_phase_seconds", buckets=self.LADDER,
+                       phase="x").observe(0.01)
+        with pytest.raises(ValueError):
+            explicit.merge_snapshot(snapshot)
+
+    def test_same_buckets_merge_cleanly(self):
+        ours = MetricsRegistry()
+        ours.timer("repro_phase_seconds", buckets=self.LADDER,
+                   phase="x").observe(0.01)
+        theirs = MetricsRegistry()
+        theirs.timer("repro_phase_seconds", buckets=self.LADDER,
+                     phase="x").observe(0.3)
+        ours.merge_snapshot(theirs.snapshot())
+        merged = ours.timer("repro_phase_seconds", buckets=self.LADDER,
+                            phase="x")
+        assert merged.count == 2 and merged.bounds == self.LADDER
+
+
 class TestAsRegistry:
     def test_none_passes_through(self):
         assert as_registry(None) is None

@@ -26,7 +26,6 @@ from repro.obs import (
     MetricsRegistry,
     ObsHTTPServer,
     RotatingSink,
-    SnapshotSink,
     attach_events,
     load_events_path,
     read_sink_events,
@@ -215,19 +214,6 @@ class TestLoadEventsPath:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_events_path(tmp_path / "nope.jsonl")
-
-
-class TestSnapshotSink:
-    def test_registry_snapshots_round_trip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("repro_test_total", op="a").inc(5)
-        with SnapshotSink(tmp_path) as sink:
-            assert sink.append_registry(registry)
-        [record] = list(replay_records(tmp_path, "snapshots"))
-        assert record["snapshot"]["schema"] == 1
-        restored = MetricsRegistry()
-        restored.merge_snapshot(record["snapshot"])
-        assert restored.counter("repro_test_total", op="a").value == 5
 
 
 class TestConcurrentScrape:
