@@ -31,6 +31,7 @@ class DominatorTree:
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self._children: Dict[BasicBlock, List[BasicBlock]] = {}
         self._frontier: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
+        self._preorder: Optional[List[BasicBlock]] = None
         self._compute()
 
     # ------------------------------------------------------------- queries
@@ -160,13 +161,19 @@ class DominatorTree:
         return finger_a
 
     def dominator_tree_preorder(self) -> List[BasicBlock]:
-        """Blocks in a pre-order walk of the dominator tree (entry first)."""
-        if not self.rpo:
-            return []
+        """Blocks in a pre-order walk of the dominator tree (entry first).
+
+        Memoized like :meth:`dominance_frontier`: the tree never changes, so
+        every SSA-repair call on it shares one walk.  Callers must not
+        mutate the returned list.
+        """
+        if self._preorder is not None:
+            return self._preorder
         order: List[BasicBlock] = []
-        stack = [self.rpo[0]]
+        stack = [self.rpo[0]] if self.rpo else []
         while stack:
             block = stack.pop()
             order.append(block)
             stack.extend(reversed(self.children(block)))
+        self._preorder = order
         return order

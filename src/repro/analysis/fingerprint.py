@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir.function import Function
@@ -76,7 +77,7 @@ class Fingerprint:
 
     def distance(self, other: "Fingerprint") -> int:
         """Manhattan distance between two fingerprints (lower = more similar)."""
-        return sum(abs(a - b) for a, b in zip(self.counts, other.counts))
+        return sum(map(abs, map(sub, self.counts, other.counts)))
 
     def similarity(self, other: "Fingerprint") -> float:
         """A normalised similarity in [0, 1]; 1 means identical fingerprints."""
@@ -136,8 +137,7 @@ def rank_candidates(fingerprint: Fingerprint,
     for other, other_fingerprint in candidates:
         # Inlined Fingerprint.distance/.similarity: the method-call overhead
         # dominates this hot loop under CPython.  Keep in sync with them.
-        distance = sum(abs(a - b)
-                       for a, b in zip(counts, other_fingerprint.counts))
+        distance = sum(map(abs, map(sub, counts, other_fingerprint.counts)))
         if similarity_floor > 0.0:
             total = fingerprint.size + other_fingerprint.size
             similarity = 1.0 if total == 0 else 1.0 - distance / total

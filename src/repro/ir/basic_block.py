@@ -18,10 +18,21 @@ class BasicBlock(Value):
     """An ordered list of instructions ending (when well-formed) in a terminator."""
 
     def __init__(self, name: str = "", parent=None) -> None:
-        super().__init__(LABEL, name)
         self.parent = parent  # Function
+        super().__init__(LABEL, name)
         self.instructions: List[Instruction] = []
         self._mutation_epoch = 0
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        # Renames keep the parent function's name index current.
+        if self.parent is not None:
+            self.parent.track_name(self._name, name)
+        self._name = name
 
     # --------------------------------------------------------------- epochs
     @property
@@ -51,12 +62,14 @@ class BasicBlock(Value):
         """Append an instruction to the end of the block."""
         instruction.parent = self
         self.instructions.append(instruction)
+        self.track_name("", instruction.name)
         self.notify_mutated()
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
         instruction.parent = self
         self.instructions.insert(index, instruction)
+        self.track_name("", instruction.name)
         self.notify_mutated()
         return instruction
 
@@ -75,7 +88,14 @@ class BasicBlock(Value):
     def remove_instruction(self, instruction: Instruction) -> None:
         self.instructions.remove(instruction)
         instruction.parent = None
+        self.track_name(instruction.name, "")
         self.notify_mutated()
+
+    def track_name(self, old: str, new: str) -> None:
+        """Forward a name change of one of this block's instructions to the
+        parent function's name index."""
+        if self.parent is not None:
+            self.parent.track_name(old, new)
 
     # ----------------------------------------------------------- structure
     @property
@@ -110,15 +130,23 @@ class BasicBlock(Value):
         terminator = self.terminator
         if terminator is None:
             return []
-        return [block for block in terminator.successors() if isinstance(block, BasicBlock)]
+        # Blocks are exactly the label-typed operands TerminatorInst.successors
+        # keeps, so filter the operands directly.
+        return [op for op in terminator.operands if isinstance(op, BasicBlock)]
 
     def predecessors(self) -> List["BasicBlock"]:
         """Blocks whose terminator targets this block (in deterministic order)."""
         preds: List[BasicBlock] = []
-        for user, _ in self.uses:
+        for user, _ in self._uses:
             if isinstance(user, TerminatorInst) and user.parent is not None:
                 block = user.parent
-                if block not in preds and self in block.successors():
+                if block in preds:
+                    continue
+                # `user` may be a terminator no longer at the block's end; the
+                # edge counts only if the block's actual terminator names us.
+                terminator = block.terminator
+                if terminator is user or (terminator is not None
+                                          and self in terminator.operands):
                     preds.append(block)
         return preds
 
@@ -128,6 +156,7 @@ class BasicBlock(Value):
         for instruction in list(self.instructions):
             instruction.drop_all_operands()
             instruction.parent = None
+            self.track_name(instruction.name, "")
         self.instructions = []
         self.notify_mutated()
         if self.parent is not None:

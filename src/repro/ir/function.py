@@ -31,6 +31,7 @@ class Function(GlobalValue):
         self.blocks: List[BasicBlock] = []
         self.args: List[Argument] = []
         self._next_value_id = 0
+        self._name_counts: Optional[Dict[str, int]] = None
         self._mutation_epoch = 0
         self._content_digest: Optional[Tuple[int, str]] = None
         for index, param_type in enumerate(function_type.param_types):
@@ -114,18 +115,22 @@ class Function(GlobalValue):
             block = block_or_name
         else:
             block = BasicBlock(str(block_or_name))
-        block.parent = self
+        # Named before it is attached, so that `_track_block` below enters
+        # the name into the index exactly once.
         if not block.name:
             block.name = self.unique_name("bb")
+        block.parent = self
         if before is not None:
             self.blocks.insert(self.blocks.index(before), block)
         else:
             self.blocks.append(block)
+        self._track_block(block, adding=True)
         self.notify_mutated()
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
         self.blocks.remove(block)
+        self._track_block(block, adding=False)
         block.parent = None
         self.notify_mutated()
 
@@ -148,17 +153,60 @@ class Function(GlobalValue):
 
     # ------------------------------------------------------------- naming
     def unique_name(self, prefix: str = "v") -> str:
-        """Return a fresh value/block name, unique within this function."""
-        existing = {block.name for block in self.blocks}
-        existing.update(arg.name for arg in self.args)
-        for inst in self.instructions():
-            if inst.name:
-                existing.add(inst.name)
+        """Return a fresh value/block name, unique within this function.
+
+        Candidates are checked against a multiset of the block, argument and
+        instruction names in use.  It is built on the first call and then
+        kept current by the block and instruction mutators and the ``name``
+        setters, so a call no longer rescans the function; it returns exactly
+        the names a rescan would.
+        """
+        taken = self._name_counts
+        if taken is None:
+            taken = self._name_counts = self._count_names()
         while True:
             candidate = f"{prefix}{self._next_value_id}"
             self._next_value_id += 1
-            if candidate not in existing:
+            if candidate not in taken:
                 return candidate
+
+    def _count_names(self) -> Dict[str, int]:
+        """The multiset of names in use, counted by a full rescan."""
+        counts: Dict[str, int] = {}
+        names = [arg.name for arg in self.args]
+        for block in self.blocks:
+            names.append(block.name)
+            names.extend(inst.name for inst in block.instructions)
+        for name in names:
+            if name:
+                counts[name] = counts.get(name, 0) + 1
+        return counts
+
+    def track_name(self, old: str, new: str) -> None:
+        """Record that a block or instruction of this function named ``old``
+        is now named ``new`` ("" stands for no name, so ``("", n)`` records
+        an addition and ``(n, "")`` a removal).  A no-op until
+        :meth:`unique_name` first builds the index."""
+        counts = self._name_counts
+        if counts is None or old == new:
+            return
+        if old:
+            left = counts[old] - 1
+            if left:
+                counts[old] = left
+            else:
+                del counts[old]
+        if new:
+            counts[new] = counts.get(new, 0) + 1
+
+    def _track_block(self, block: BasicBlock, adding: bool) -> None:
+        if self._name_counts is None:
+            return
+        for name in [block.name] + [inst.name for inst in block.instructions]:
+            if adding:
+                self.track_name("", name)
+            else:
+                self.track_name(name, "")
 
     def assign_names(self) -> None:
         """Give every unnamed block and value-producing instruction a name."""

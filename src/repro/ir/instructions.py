@@ -66,8 +66,19 @@ class Instruction(User):
     opcode: str = "<abstract>"
 
     def __init__(self, type_: Type, name: str = "") -> None:
-        super().__init__(type_, name)
         self.parent = None  # BasicBlock
+        super().__init__(type_, name)
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        # Renames keep the enclosing function's name index current.
+        if self.parent is not None:
+            self.parent.track_name(self._name, name)
+        self._name = name
 
     # ---------------------------------------------------------- predicates
     def is_terminator(self) -> bool:
@@ -362,7 +373,8 @@ class TerminatorInst(Instruction):
 
     def successors(self) -> List["Value"]:
         """The basic blocks this terminator can transfer control to."""
-        return [op for op in self.operand_values() if isinstance(op.type, LabelType)]
+        return [op for op in self._operands
+                if op is not None and isinstance(op.type, LabelType)]
 
     def replace_successor(self, old, new) -> None:
         """Replace every successor edge to ``old`` with ``new``."""
@@ -559,16 +571,14 @@ class PhiInst(Instruction):
         return self.num_operands() // 2
 
     def incoming(self) -> List[Tuple[Value, Value]]:
-        pairs = []
-        for index in range(0, self.num_operands(), 2):
-            pairs.append((self.get_operand(index), self.get_operand(index + 1)))
-        return pairs
+        operands = self._operands
+        return list(zip(operands[0::2], operands[1::2]))
 
     def incoming_values(self) -> List[Value]:
-        return [value for value, _ in self.incoming()]
+        return self._operands[0::2]
 
     def incoming_blocks(self) -> List[Value]:
-        return [block for _, block in self.incoming()]
+        return self._operands[1::2]
 
     def incoming_value_for_block(self, block) -> Optional[Value]:
         for value, incoming_block in self.incoming():

@@ -1,8 +1,14 @@
 """Function merging by sequence alignment: the FMSA baseline and SalSSA."""
 
 from .linearize import Entry, InstructionEntry, LabelEntry, linearize, sequence_length
-from .matching import entries_match, instructions_match, is_landing_block, labels_match
-from .alignment import AlignedPair, AlignmentResult, align, align_hirschberg
+from .matching import (
+    entries_match,
+    instructions_match,
+    is_landing_block,
+    labels_match,
+    match_key,
+)
+from .alignment import AlignedPair, AlignmentResult, align
 from .cost_model import CostModel, MergeDecision
 from .fmsa import FMSAMerger, FMSAOptions
 from .salssa import (

@@ -5,22 +5,31 @@ alignment of the two entry sequences that maximises the number of matched
 pairs, where a pair may only match if :func:`repro.merge.matching.entries_match`
 allows it (binary scoring, no substitutions).
 
-The classic dynamic program is quadratic in both time and memory; the module
-records the number of DP cells allocated so the memory experiments
-(paper §5.5, Figure 22) can attribute memory to sequence length.  A
-linear-space variant (Hirschberg) is provided as well and used for an ablation
-benchmark.
+With a match score of 2 and no gap penalty, the Needleman–Wunsch score of
+``a[:i]`` against ``b[:j]`` is exactly twice the length of their longest
+common subsequence under the match relation.  The kernel therefore computes
+the DP rows as bit-parallel LCS rows (Allison & Dix 1986; Hyyrö 2004): each
+entry is reduced to its :func:`~repro.merge.matching.match_key` class, each
+class gets one bitmask of its positions in ``b``, and row ``i`` is one
+``len(b)``-bit Python int ``V_i`` whose zero bits mark the columns where the
+LCS grows.  A row costs a handful of big-int operations instead of ``len(b)``
+predicate calls, and stores in ``len(b)`` bits what the table stored in
+``len(b)`` objects.
+
+The traceback is the one the quadratic table would take — diagonal first,
+then up, then left — reading ``score(i, j) = 2·(j − popcount(V_i mod 2^j))``.
+``dp_cells`` still reports the ``(n+1)·(m+1)`` logical cells of the table, so
+the memory experiments (paper §5.5, Figure 22) attribute memory to sequence
+length as before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-from .linearize import Entry, InstructionEntry, LabelEntry
-from .matching import entries_match
-
-MatchPredicate = Callable[[Entry, Entry], bool]
+from .linearize import Entry
+from .matching import match_key
 
 
 @dataclass(frozen=True)
@@ -57,106 +66,60 @@ class AlignmentResult:
         return [p for p in self.pairs if p.is_match]
 
 
-def align(sequence_a: Sequence[Entry], sequence_b: Sequence[Entry],
-          match: MatchPredicate = entries_match,
-          match_score: int = 2, gap_penalty: int = 0) -> AlignmentResult:
+def align(sequence_a: Sequence[Entry], sequence_b: Sequence[Entry]) -> AlignmentResult:
     """Globally align two entry sequences with Needleman–Wunsch.
 
     Only matching entries may be paired; every other entry is emitted against
-    a gap.  ``match_score``/``gap_penalty`` follow the binary scoring of the
-    original FMSA formulation.
+    a gap.  Scoring is the binary scoring of the original FMSA formulation
+    (match 2, gap 0), computed bit-parallel as described in the module
+    docstring.
     """
-    rows = len(sequence_a) + 1
-    cols = len(sequence_b) + 1
-    negative_infinity = float("-inf")
+    n, m = len(sequence_a), len(sequence_b)
 
-    # score[i][j]: best score aligning a[:i] with b[:j]
-    score = [[0] * cols for _ in range(rows)]
-    for i in range(1, rows):
-        score[i][0] = score[i - 1][0] - gap_penalty
-    for j in range(1, cols):
-        score[0][j] = score[0][j - 1] - gap_penalty
+    # Intern match classes to ints; an unmatchable entry gets a class of its
+    # own side (-1 in a, -2 in b), so class equality is exactly a match.
+    classes: Dict[object, int] = {}
+    class_a = [-1 if key is None else classes.setdefault(key, len(classes))
+               for key in map(match_key, sequence_a)]
+    class_b = [-2 if key is None else classes.setdefault(key, len(classes))
+               for key in map(match_key, sequence_b)]
 
-    for i in range(1, rows):
-        entry_a = sequence_a[i - 1]
-        row = score[i]
-        above = score[i - 1]
-        for j in range(1, cols):
-            entry_b = sequence_b[j - 1]
-            diagonal = negative_infinity
-            if match(entry_a, entry_b):
-                diagonal = above[j - 1] + match_score
-            best = above[j] - gap_penalty
-            left = row[j - 1] - gap_penalty
-            if left > best:
-                best = left
-            if diagonal > best:
-                best = diagonal
-            row[j] = best
+    masks = [0] * len(classes)
+    for j, cls in enumerate(class_b):
+        if cls >= 0:
+            masks[cls] |= 1 << j
+
+    full = (1 << m) - 1
+    rows = [full]
+    v = full
+    for cls in class_a:
+        if cls >= 0:
+            u = v & masks[cls]
+            v = ((v + u) | (v - u)) & full
+        rows.append(v)
+
+    def lcs(i: int, j: int) -> int:
+        return j - (rows[i] & ((1 << j) - 1)).bit_count()
 
     pairs: List[AlignedPair] = []
     matches = 0
-    i, j = rows - 1, cols - 1
+    i, j = n, m
+    current = lcs(i, j)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and match(sequence_a[i - 1], sequence_b[j - 1]) \
-                and score[i][j] == score[i - 1][j - 1] + match_score:
+        if i > 0 and j > 0 and class_a[i - 1] == class_b[j - 1] \
+                and lcs(i - 1, j - 1) == current - 1:
             pairs.append(AlignedPair(sequence_a[i - 1], sequence_b[j - 1]))
             matches += 1
             i -= 1
             j -= 1
-        elif i > 0 and score[i][j] == score[i - 1][j] - gap_penalty:
+            current -= 1
+        elif i > 0 and lcs(i - 1, j) == current:
             pairs.append(AlignedPair(sequence_a[i - 1], None))
             i -= 1
         else:
             pairs.append(AlignedPair(None, sequence_b[j - 1]))
             j -= 1
+            current = lcs(i, j)
     pairs.reverse()
 
-    return AlignmentResult(pairs, matches, len(sequence_a), len(sequence_b), rows * cols)
-
-
-def align_hirschberg(sequence_a: Sequence[Entry], sequence_b: Sequence[Entry],
-                     match: MatchPredicate = entries_match,
-                     match_score: int = 2, gap_penalty: int = 0) -> AlignmentResult:
-    """Linear-space alignment (Hirschberg).  Same result quality, O(min(n,m))
-    memory — used by the memory-ablation benchmark."""
-    pairs = _hirschberg(list(sequence_a), list(sequence_b), match, match_score, gap_penalty)
-    matches = sum(1 for p in pairs if p.is_match)
-    cells = 2 * (len(sequence_b) + 1)
-    return AlignmentResult(pairs, matches, len(sequence_a), len(sequence_b), cells)
-
-
-def _nw_score_last_row(a: List[Entry], b: List[Entry], match: MatchPredicate,
-                       match_score: int, gap_penalty: int) -> List[float]:
-    previous = [-gap_penalty * j for j in range(len(b) + 1)]
-    for i in range(1, len(a) + 1):
-        current = [previous[0] - gap_penalty] + [0.0] * len(b)
-        for j in range(1, len(b) + 1):
-            diagonal = float("-inf")
-            if match(a[i - 1], b[j - 1]):
-                diagonal = previous[j - 1] + match_score
-            current[j] = max(diagonal, previous[j] - gap_penalty, current[j - 1] - gap_penalty)
-        previous = current
-    return previous
-
-
-def _hirschberg(a: List[Entry], b: List[Entry], match: MatchPredicate,
-                match_score: int, gap_penalty: int) -> List[AlignedPair]:
-    if not a:
-        return [AlignedPair(None, entry) for entry in b]
-    if not b:
-        return [AlignedPair(entry, None) for entry in a]
-    if len(a) == 1 or len(b) == 1:
-        return align(a, b, match, match_score, gap_penalty).pairs
-
-    mid = len(a) // 2
-    score_left = _nw_score_last_row(a[:mid], b, match, match_score, gap_penalty)
-    score_right = _nw_score_last_row(list(reversed(a[mid:])), list(reversed(b)),
-                                     match, match_score, gap_penalty)
-    split, best = 0, float("-inf")
-    for j in range(len(b) + 1):
-        total = score_left[j] + score_right[len(b) - j]
-        if total > best:
-            best, split = total, j
-    return (_hirschberg(a[:mid], b[:split], match, match_score, gap_penalty)
-            + _hirschberg(a[mid:], b[split:], match, match_score, gap_penalty))
+    return AlignmentResult(pairs, matches, n, m, (n + 1) * (m + 1))

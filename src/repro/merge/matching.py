@@ -13,7 +13,7 @@ Phi-nodes and landing pads never match (paper §4.1.1 and §4.2.2).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, Optional
 
 from ..ir.basic_block import BasicBlock
 from ..ir.instructions import (
@@ -145,3 +145,60 @@ def entries_match(entry_a: Entry, entry_b: Entry) -> bool:
     if isinstance(entry_a, InstructionEntry) and isinstance(entry_b, InstructionEntry):
         return instructions_match(entry_a.instruction, entry_b.instruction)
     return False
+
+
+#: The match class of every label that may be aligned.
+_LABEL_KEY = ("label",)
+#: The landing-pad part of the key of an invoke whose unwind block has none.
+_NO_PAD = ("no pad",)
+#: The value part of the key of a ``ret void``.
+_NO_VALUE = ("no value",)
+
+
+def match_key(entry: Entry) -> Optional[Hashable]:
+    """The match class of ``entry``, or None if it matches nothing.
+
+    ``entries_match(a, b)`` holds exactly when ``match_key(a) ==
+    match_key(b)`` and neither is None, so the alignment can compare
+    interned classes instead of calling the predicate per DP cell.  Each
+    branch keys on the fields its :func:`instructions_match` branch compares.
+    """
+    if isinstance(entry, LabelEntry):
+        return None if is_landing_block(entry.block) else _LABEL_KEY
+    if not isinstance(entry, InstructionEntry):
+        return None
+    inst = entry.instruction
+    if isinstance(inst, (PhiInst, LandingPadInst)):
+        return None
+    head = (type(inst), inst.type)
+    if isinstance(inst, BinaryInst):
+        return head + (inst.opcode, inst.lhs.type)
+    if isinstance(inst, CmpInst):
+        return head + (inst.predicate, inst.lhs.type)
+    if isinstance(inst, CastInst):
+        return head + (inst.opcode, inst.value.type)
+    if isinstance(inst, SelectInst):
+        return head + (inst.if_true.type,)
+    if isinstance(inst, AllocaInst):
+        return head + (inst.allocated_type,)
+    if isinstance(inst, LoadInst):
+        return head + (inst.pointer.type,)
+    if isinstance(inst, StoreInst):
+        return head + (inst.value.type, inst.pointer.type)
+    if isinstance(inst, GEPInst):
+        return head + (inst.pointer.type, tuple(x.type for x in inst.indices))
+    if isinstance(inst, InvokeInst):
+        pad = _landingpad_of(inst)
+        return head + (tuple(x.type for x in inst.args),
+                       _NO_PAD if pad is None else pad.type)
+    if isinstance(inst, CallInst):
+        return head + (tuple(x.type for x in inst.args),)
+    if isinstance(inst, BranchInst):
+        return head + (inst.is_conditional,)
+    if isinstance(inst, SwitchInst):
+        return head + (inst.condition.type, len(inst.cases()))
+    if isinstance(inst, ReturnInst):
+        return head + (_NO_VALUE if inst.value is None else inst.value.type,)
+    if isinstance(inst, UnreachableInst):
+        return head
+    return None

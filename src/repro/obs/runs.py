@@ -346,27 +346,11 @@ def record_pipeline_run(registry, result, mode: str,
 # Regression policies: newest-vs-trailing-median over ledger series.
 # ---------------------------------------------------------------------------
 
-def _trend_module():
-    """``benchmarks/check_trend.py`` when the repo layout is available —
-    ``regress`` then judges with the *same* MetricPolicy/judge_metric
-    machinery CI gates with; ``None`` in an installed-package layout."""
-    for parent in Path(__file__).resolve().parents:
-        candidate = parent / "benchmarks" / "check_trend.py"
-        if candidate.exists():
-            directory = str(candidate.parent)
-            if directory not in sys.path:
-                sys.path.append(directory)
-            try:
-                import check_trend
-                return check_trend
-            except ImportError:
-                return None
-    return None
-
-
 @dataclass(frozen=True)
-class _FallbackPolicy:
-    """check_trend.MetricPolicy's judged semantics, for installed layouts."""
+class RegressPolicy:
+    """How ``regress`` judges one metric against its trailing median: the
+    semantics of ``benchmarks/check_trend.py``'s ``MetricPolicy``, kept in
+    the package so library code reads nothing from ``benchmarks/``."""
 
     direction: str
     tolerance: float
@@ -376,32 +360,26 @@ class _FallbackPolicy:
 
 #: What ``regress`` judges, per metric: wall-clock is advisory (runner
 #: noise), result quality is hard — the same stance the CI gate takes.
-RUN_REGRESS_POLICIES: Dict[str, _FallbackPolicy] = {
-    "merge_seconds": _FallbackPolicy("lower", 0.25, abs_slack=0.05,
-                                     advisory=True),
-    "reduction_percent": _FallbackPolicy("higher", 0.05, abs_slack=0.01),
-    "profitable_merges": _FallbackPolicy("higher", 0.0, abs_slack=0.0),
-    "attempts": _FallbackPolicy("lower", 0.25, abs_slack=2.0,
-                                advisory=True),
+RUN_REGRESS_POLICIES: Dict[str, RegressPolicy] = {
+    "merge_seconds": RegressPolicy("lower", 0.25, abs_slack=0.05,
+                                   advisory=True),
+    "reduction_percent": RegressPolicy("higher", 0.05, abs_slack=0.01),
+    "profitable_merges": RegressPolicy("higher", 0.0, abs_slack=0.0),
+    "attempts": RegressPolicy("lower", 0.25, abs_slack=2.0,
+                              advisory=True),
 }
 
-_FALLBACK_MIN_HISTORY = 2
+#: Prior runs a series needs before a hard metric can fail (as
+#: ``check_trend.MIN_HISTORY``).
+MIN_HISTORY = 2
 
 
-def _judge(name: str, policy, newest: float, prior: List[float],
+def _judge(name: str, policy: RegressPolicy, newest: float, prior: List[float],
            series: str):
     """One (metric, series) verdict as ``(severity, message)``."""
-    trend = _trend_module()
-    if trend is not None:
-        shared = trend.MetricPolicy(direction=policy.direction,
-                                    tolerance=policy.tolerance,
-                                    abs_slack=policy.abs_slack,
-                                    advisory=policy.advisory)
-        finding = trend.judge_metric(name, shared, newest, prior, series)
-        return finding.severity, finding.message
-    if len(prior) < _FALLBACK_MIN_HISTORY:
+    if len(prior) < MIN_HISTORY:
         return "warn", (f"{series} {name}={newest}: only {len(prior)} prior "
-                        f"run(s) (<{_FALLBACK_MIN_HISTORY}), advisory")
+                        f"run(s) (<{MIN_HISTORY}), advisory")
     baseline = statistics.median(prior)
     allowed = max(policy.tolerance * abs(baseline), policy.abs_slack)
     if policy.direction == "higher":

@@ -302,32 +302,72 @@ class SSAReconstructor:
             phis[block] = phi
             result.inserted_phis.append(phi)
 
-        undef = UndefValue(value_type)
-        outgoing: Dict[BasicBlock, Value] = {}
-        current_at: Dict[Instruction, Value] = {}
+        # The value reaching a block's start is its repair phi, or else the
+        # value reaching the end of its immediate dominator; a block's end sees
+        # its last definition, or else its start.  Both are resolved on demand
+        # by walking up the dominator tree, so a call touches only the blocks
+        # between its uses and their reaching definitions.  Blocks outside the
+        # tree (unreachable) see undef.
+        last_definition: Dict[BasicBlock, Instruction] = {}
+        for definition in definitions:
+            block = definition.parent
+            other = last_definition.get(block)
+            if other is None or (block.instructions.index(definition)
+                                 > block.instructions.index(other)):
+                last_definition[block] = definition
 
-        for block in self.domtree.dominator_tree_preorder():
-            idom = self.domtree.immediate_dominator(block)
-            if block in phis:
-                current: Value = phis[block]
-            elif block is entry:
-                current = undef
-            elif idom is not None:
-                current = outgoing.get(idom, undef)
-            else:
-                current = undef
+        undef = UndefValue(value_type)
+        idom_of = self.domtree.idom
+        at_start: Dict[BasicBlock, Value] = {}
+
+        def value_at_start(block: BasicBlock) -> Value:
+            path = []
+            while True:
+                known = at_start.get(block)
+                if known is not None:
+                    value = known
+                    break
+                path.append(block)
+                if block in phis:
+                    value = phis[block]
+                    break
+                idom = idom_of.get(block)
+                if block is entry or idom is None:
+                    value = undef
+                    break
+                if idom in last_definition:
+                    value = last_definition[idom]
+                    break
+                block = idom
+            for visited in path:
+                at_start[visited] = value
+            return value
+
+        def value_at_end(block) -> Value:
+            if block not in idom_of:
+                return undef
+            definition = last_definition.get(block)
+            return definition if definition is not None else value_at_start(block)
+
+        # Only blocks holding a non-phi use need the value at each
+        # instruction: a definition earlier in the block overrides the start.
+        current_at: Dict[Instruction, Value] = {}
+        use_blocks = {user.parent for user, _, _ in use_records
+                      if not isinstance(user, PhiInst)}
+        for block in use_blocks:
+            if block not in idom_of:
+                continue
+            current = value_at_start(block)
             for inst in block.instructions:
                 current_at[inst] = current
                 if inst in definition_set:
                     current = inst
-            outgoing[block] = current
 
         # Rewrite non-phi uses with the value reaching the use point, and phi
         # uses with the value reaching the end of the incoming block.
         for user, index, definition in use_records:
             if isinstance(user, PhiInst):
-                incoming_block = user.get_operand(index + 1)
-                replacement = outgoing.get(incoming_block, undef)
+                replacement = value_at_end(user.get_operand(index + 1))
             else:
                 replacement = current_at.get(user, undef)
             if replacement is user:
@@ -341,7 +381,7 @@ class SSAReconstructor:
         # Fill the incoming lists of the repair phis.
         for block, phi in phis.items():
             for pred in self.preds.get(block, []):
-                phi.add_incoming(outgoing.get(pred, undef), pred)
+                phi.add_incoming(value_at_end(pred), pred)
 
         # Reconstruction inserts phi-nodes and rewrites operands but never
         # touches block structure or terminators, so the CFG analyses remain
@@ -368,10 +408,12 @@ class SSAReconstructor:
                     return True
             return False
 
+        definition_blocks = {definition.parent for definition in definition_set}
+
         def mark_live_out(block: BasicBlock) -> None:
             # Live at the end of `block`: propagate to live-in unless a
             # definition inside the block kills the variable.
-            if any(inst in definition_set for inst in block.instructions):
+            if block in definition_blocks:
                 return
             if block not in live_in:
                 live_in.add(block)
@@ -391,6 +433,9 @@ class SSAReconstructor:
 
         while worklist:
             block = worklist.pop()
-            for pred in self.preds.get(block, []):
-                mark_live_out(pred)
+            for pred in self.preds.get(block, ()):
+                # Inlined mark_live_out: this loop is the hot one.
+                if pred not in definition_blocks and pred not in live_in:
+                    live_in.add(pred)
+                    worklist.append(pred)
         return live_in

@@ -157,8 +157,11 @@ def _fold_constant_branches(function: Function, stats: SimplifyStats) -> bool:
 def _simplify_phis(function: Function, stats: SimplifyStats) -> bool:
     changed = False
     for block in function.blocks:
+        phis = block.phis()
+        if not phis:
+            continue
         preds = block.predecessors()
-        for phi in list(block.phis()):
+        for phi in phis:
             # Drop incoming entries whose block is no longer a predecessor.
             for incoming_block in list(phi.incoming_blocks()):
                 if incoming_block not in preds:
@@ -169,20 +172,20 @@ def _simplify_phis(function: Function, stats: SimplifyStats) -> bool:
                 phi.erase_from_parent()
                 stats.removed_phis += 1
                 changed = True
-        # Merge identical phi-nodes (same incoming values from same blocks).
+        # Merge identical phi-nodes (same incoming values from same blocks):
+        # the first phi of each class absorbs the later ones.
         remaining = block.phis()
-        for index, phi in enumerate(remaining):
-            if phi.parent is None:
-                continue
-            signature = _phi_signature(phi)
-            for other in remaining[index + 1:]:
-                if other.parent is None:
-                    continue
-                if _phi_signature(other) == signature and other.type == phi.type:
-                    other.replace_all_uses_with(phi)
-                    other.erase_from_parent()
-                    stats.removed_phis += 1
-                    changed = True
+        if len(remaining) < 2:
+            continue
+        first_of_class: Dict[tuple, PhiInst] = {}
+        for phi in remaining:
+            key = (_phi_signature(phi), phi.type)
+            kept = first_of_class.setdefault(key, phi)
+            if kept is not phi:
+                phi.replace_all_uses_with(kept)
+                phi.erase_from_parent()
+                stats.removed_phis += 1
+                changed = True
     return changed
 
 
@@ -211,15 +214,12 @@ def _phi_unique_value(phi: PhiInst) -> Optional[Value]:
 
 
 def _phi_signature(phi: PhiInst):
-    def value_key(value: Value):
-        if isinstance(value, Constant):
-            return ("const", value.type, value.value)
-        if isinstance(value, UndefValue):
-            return ("undef", value.type)
-        return ("id", id(value))
-
-    return tuple((value_key(value), id(block)) for value, block in
-                 sorted(phi.incoming(), key=lambda pair: id(pair[1])))
+    # Constants and undefs compare by value, everything else by identity.
+    return tuple([(("const", value.type, value.value) if isinstance(value, Constant)
+                   else ("undef", value.type) if isinstance(value, UndefValue)
+                   else ("id", id(value)), id(block))
+                  for value, block in sorted(phi.incoming(),
+                                             key=lambda pair: id(pair[1]))])
 
 
 def _remove_dead_phi_webs(function: Function, stats: SimplifyStats) -> bool:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import parse_module
-from repro.merge.alignment import align, align_hirschberg
+from repro.merge.alignment import align
 from repro.merge.linearize import InstructionEntry, LabelEntry, linearize, sequence_length
 from repro.merge.matching import entries_match, instructions_match, labels_match
 
@@ -142,14 +142,3 @@ class TestAlignment:
     def test_empty_sequences(self):
         result = align([], [])
         assert result.pairs == [] and result.matches == 0
-
-    def test_hirschberg_matches_quality_with_linear_memory(self, module):
-        f1 = module.get_function("f1")
-        f2 = module.get_function("f2")
-        seq1, seq2 = linearize(f1), linearize(f2)
-        quadratic = align(seq1, seq2)
-        linear = align_hirschberg(seq1, seq2)
-        assert linear.matches == quadratic.matches
-        assert linear.dp_cells < quadratic.dp_cells
-        for pair in linear.matched_pairs():
-            assert entries_match(pair.first, pair.second)

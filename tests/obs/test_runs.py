@@ -13,6 +13,7 @@ The load-bearing promises:
 """
 
 import json
+import sys
 
 import pytest
 
@@ -251,6 +252,16 @@ class TestRegress:
 
     def test_missing_run_exit_two(self, ledger):
         assert regress_run(ledger, "f" * 64)[0] == 2
+
+    def test_judges_without_loading_check_trend(self, ledger, monkeypatch):
+        # Library code reads nothing from benchmarks/: the policies live in
+        # the package.
+        monkeypatch.delitem(sys.modules, "check_trend", raising=False)
+        for stamp in (1, 2, 3):
+            ledger.record(make_record(unix_time=stamp))
+        newest = ledger.record(make_record(unix_time=9, reduction=10.0))
+        assert regress_run(ledger, newest)[0] == 1
+        assert "check_trend" not in sys.modules
 
 
 class TestCLI:

@@ -1,10 +1,11 @@
 """Tests for CFG simplification, dead code elimination and function cloning."""
 
 from repro.ir import parse_module, verify_function
+from repro.ir.printer import print_function
 from repro.ir.instructions import BranchInst, PhiInst, SelectInst
 from repro.transforms.clone import clone_function
 from repro.transforms.dce import eliminate_dead_code, is_trivially_dead
-from repro.transforms.simplify import simplify_function
+from repro.transforms.simplify import SimplifyStats, _simplify_phis, simplify_function
 
 from ..conftest import MOTIVATING_EXAMPLE, observe_many
 
@@ -106,6 +107,50 @@ class TestSimplify:
         assert stats.removed_phis >= 2
         remaining = [i for i in function.instructions() if isinstance(i, PhiInst)]
         assert len(remaining) == 1
+
+    def test_duplicate_phis_fold_into_first_of_their_class(self):
+        # Three phis of one class (the third lists its incomings in the other
+        # order) plus a phi that reads the second through the back edge: the
+        # first absorbs the other two, and the reader is rewired to it.
+        module = parse_module("""
+        define i32 @f(i32 %x, i32 %n) {
+        entry:
+          br label %loop
+        loop:
+          %p1 = phi i32 [ %x, %entry ], [ %i, %loop ]
+          %p2 = phi i32 [ %x, %entry ], [ %i, %loop ]
+          %q = phi i32 [ 0, %entry ], [ %p2, %loop ]
+          %p3 = phi i32 [ %i, %loop ], [ %x, %entry ]
+          %s = add i32 %p1, %p2
+          %t = add i32 %s, %p3
+          %i = add i32 %t, %q
+          %c = icmp slt i32 %i, %n
+          br i1 %c, label %loop, label %exit
+        exit:
+          ret i32 %i
+        }
+        """)
+        function = module.get_function("f")
+        stats = SimplifyStats()
+        assert _simplify_phis(function, stats)
+        assert stats.removed_phis == 2
+        assert print_function(function) == "\n".join([
+            "define i32 @f(i32 %x, i32 %n) {",
+            "entry:",
+            "  br label %loop",
+            "loop:",
+            "  %p1 = phi i32 [ %x, %entry ], [ %i, %loop ]",
+            "  %q = phi i32 [ 0, %entry ], [ %p1, %loop ]",
+            "  %s = add i32 %p1, %p1",
+            "  %t = add i32 %s, %p1",
+            "  %i = add i32 %t, %q",
+            "  %c = icmp slt i32 %i, %n",
+            "  br i1 %c, label %loop, label %exit",
+            "exit:",
+            "  ret i32 %i",
+            "}",
+        ])
+        verify_function(function)
 
     def test_select_folding(self):
         module = parse_module("""
